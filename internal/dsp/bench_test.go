@@ -53,7 +53,9 @@ func BenchmarkAutocorrelationSizes(b *testing.B) {
 
 func BenchmarkDetectTypicalFlow(b *testing.B) {
 	// A 2 h client-object flow at 2 s bins with a 60 s period — the
-	// workhorse case of the §5.1 analysis.
+	// workhorse case of the §5.1 analysis. n=3600 is 5-smooth, the rare
+	// case whose periodogram is the even bins of the ACF's spectrum;
+	// BenchmarkDetectFlowLengths covers the lengths real flows have.
 	x := make([]float64, 3600)
 	for i := 0; i < len(x); i += 30 {
 		x[i] = 1
@@ -64,6 +66,41 @@ func BenchmarkDetectTypicalFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok, err := Detect(x, cfg, rng); err != nil || !ok {
 			b.Fatalf("detect: %v %v", ok, err)
+		}
+	}
+}
+
+// BenchmarkDetectFlowLengths runs Detect at the signal lengths of the
+// Fig. 5 flow mix, whose lengths are mostly not 5-smooth: 2577 and 3450
+// (even, not smooth), 3457 (prime) and 3600 (smooth). The periodic
+// signal runs every shuffle; the noise signal is where early stopping
+// pays.
+func BenchmarkDetectFlowLengths(b *testing.B) {
+	for _, n := range []int{2577, 3450, 3457, 3600} {
+		periodic := make([]float64, n)
+		for i := 0; i < n; i += 30 {
+			periodic[i] = 1
+		}
+		noise := make([]float64, n)
+		r := stats.NewRNG(uint64(n))
+		for i := range noise {
+			if r.Bool(0.05) {
+				noise[i] = 1
+			}
+		}
+		for _, c := range []struct {
+			name string
+			x    []float64
+		}{{"periodic", periodic}, {"noise", noise}} {
+			b.Run(c.name+"-n"+itoa(n), func(b *testing.B) {
+				cfg := DefaultDetectorConfig()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := Detect(c.x, cfg, stats.NewRNG(2)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -159,16 +159,16 @@ func TestHillClimb(t *testing.T) {
 		acf[i] = 1.0 / (1.0 + float64(d*d))
 	}
 	acf[0] = 1
-	if lag, ok := hillClimb(acf, 8, 25); !ok || lag != 10 {
+	if lag, ok := hillClimb(acf, 8, 2, 25); !ok || lag != 10 {
 		t.Errorf("hillClimb from 8 = %d, %v", lag, ok)
 	}
-	if lag, ok := hillClimb(acf, 13, 25); !ok || lag != 10 {
+	if lag, ok := hillClimb(acf, 13, 2, 25); !ok || lag != 10 {
 		t.Errorf("hillClimb from 13 = %d, %v", lag, ok)
 	}
-	if _, ok := hillClimb(acf, 1, 25); ok {
+	if _, ok := hillClimb(acf, 1, 2, 25); ok {
 		t.Error("lag below minimum accepted")
 	}
-	if _, ok := hillClimb(acf, 30, 25); ok {
+	if _, ok := hillClimb(acf, 30, 2, 25); ok {
 		t.Error("lag above maximum accepted")
 	}
 }
