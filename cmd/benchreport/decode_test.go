@@ -11,7 +11,7 @@ BenchmarkDecodeBinarySeq-8   	     50	  2000000 ns/op	 350.00 MB/s	  122.60 disk
 BenchmarkDecodeChunkSeq/codec=raw-8  	 100	  1000000 ns/op	  46.70 disk-B/rec	 7000000 records/s	 90 B/op	 4 allocs/op
 PASS
 `
-	bs := parseBench("./internal/ingest", out)
+	bs := parseBench("./internal/ingest", out, 8)
 	if len(bs) != 2 {
 		t.Fatalf("parsed %d benchmarks, want 2", len(bs))
 	}
@@ -68,5 +68,34 @@ func TestChunkDecodeSummary(t *testing.T) {
 	// the gates skip instead of failing on zeros.
 	if cd := chunkDecodeSummary(bs[:2]); cd != nil {
 		t.Errorf("summary = %+v, want nil without chunk benchmarks", cd)
+	}
+}
+
+// TestTrimProcSuffix pins the GOMAXPROCS suffix rule: go test appends
+// -N only when N != 1, so a sub-benchmark's own trailing number must
+// survive at 1 and only the run's N is trimmed at 2.
+func TestTrimProcSuffix(t *testing.T) {
+	at1 := `BenchmarkPredictTopKOrders/order-1   	 500	  2100 ns/op
+BenchmarkPredictTopKOrders/order-2   	 500	  3400 ns/op
+BenchmarkPredictTopKOrders/order-3   	 500	  4100 ns/op
+BenchmarkGenerate   	 100	  11963 ns/op
+`
+	at2 := `BenchmarkPredictTopKOrders/order-1-2   	 500	  2100 ns/op
+BenchmarkPredictTopKOrders/order-2-2   	 500	  3400 ns/op
+BenchmarkPredictTopKOrders/order-3-2   	 500	  4100 ns/op
+BenchmarkGenerate-2   	 100	  11963 ns/op
+`
+	want := []string{"BenchmarkPredictTopKOrders/order-1", "BenchmarkPredictTopKOrders/order-2",
+		"BenchmarkPredictTopKOrders/order-3", "BenchmarkGenerate"}
+	for procs, out := range map[int]string{1: at1, 2: at2} {
+		bs := parseBench("./internal/ngram", out, procs)
+		if len(bs) != len(want) {
+			t.Fatalf("procs=%d: parsed %d benchmarks, want %d", procs, len(bs), len(want))
+		}
+		for i, b := range bs {
+			if b.Name != want[i] {
+				t.Errorf("procs=%d: name %q, want %q", procs, b.Name, want[i])
+			}
+		}
 	}
 }

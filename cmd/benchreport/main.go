@@ -192,7 +192,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchreport: %s: %v\n%s", pkg, err, buf.String())
 			os.Exit(1)
 		}
-		rep.Benchmarks = append(rep.Benchmarks, parseBench(pkg, buf.String())...)
+		rep.Benchmarks = append(rep.Benchmarks, parseBench(pkg, buf.String(), rep.GOMAXPROCS)...)
 	}
 
 	seq := meanNs(rep.Benchmarks, "BenchmarkRunAllSequential")
@@ -345,11 +345,11 @@ func chunkDecodeSummary(bs []Benchmark) *DecodeSummary {
 	return cd
 }
 
-// parseBench extracts Benchmark entries from `go test -bench` output.
-// A result line looks like:
+// parseBench extracts Benchmark entries from `go test -bench` output
+// run at GOMAXPROCS procs. A result line looks like:
 //
 //	BenchmarkGenerate-8   	     100	  11963 ns/op	 2096 B/op	  4 allocs/op
-func parseBench(pkg, out string) []Benchmark {
+func parseBench(pkg, out string, procs int) []Benchmark {
 	var res []Benchmark
 	for _, line := range strings.Split(out, "\n") {
 		fields := strings.Fields(line)
@@ -360,7 +360,7 @@ func parseBench(pkg, out string) []Benchmark {
 		if err != nil {
 			continue
 		}
-		b := Benchmark{Package: pkg, Name: trimProcSuffix(fields[0]), Iters: iters}
+		b := Benchmark{Package: pkg, Name: trimProcSuffix(fields[0], procs), Iters: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -390,17 +390,16 @@ func parseBench(pkg, out string) []Benchmark {
 	return res
 }
 
-// trimProcSuffix drops the -N GOMAXPROCS suffix go test appends to
-// benchmark names, so baselines from different machines line up.
-func trimProcSuffix(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i < 0 {
+// trimProcSuffix drops the -N suffix go test appends to benchmark
+// names when GOMAXPROCS N is not 1, so baselines from different
+// machines line up. Only a suffix equal to the run's procs is trimmed:
+// at GOMAXPROCS=1 there is none, and a name's own trailing number
+// (order-1, order-2, ...) must survive.
+func trimProcSuffix(name string, procs int) string {
+	if procs == 1 {
 		return name
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
+	return strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 }
 
 // foldReplay reads a jsonreplay report and condenses it into the
