@@ -51,10 +51,11 @@ test:
 # race covers the concurrent hot paths: the metrics substrate, the
 # net/http edge that reports into it, the retry/breaker machinery, the
 # bounded ingest pipeline, the sharded generator, the parallel
-# experiment scheduler, and the fleet front tier (health prober, ring
-# swaps, failover/hedging) with its chaos injector.
+# experiment scheduler, the fleet front tier (health prober, ring
+# swaps, failover/hedging) with its chaos injector, and the period
+# detector with the periodicity workers that share its counters.
 race:
-	$(GO) test -race ./internal/obs ./internal/edge ./internal/defend ./internal/resilience ./internal/ingest ./internal/synth ./internal/experiments ./internal/replay ./internal/fleet/... ./internal/livechar
+	$(GO) test -race ./internal/obs ./internal/edge ./internal/defend ./internal/resilience ./internal/ingest ./internal/synth ./internal/experiments ./internal/replay ./internal/fleet/... ./internal/livechar ./internal/dsp ./internal/periodicity
 
 # bench regenerates the persisted benchmark baseline (BENCH_1.json by
 # default; override with BENCHOUT=...). It runs every benchmark in the

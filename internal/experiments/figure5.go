@@ -84,6 +84,8 @@ func (r *Runner) Figure5(w io.Writer) (*PeriodicityResult, error) {
 	fmt.Fprint(w, stats.BarChart(labels, values, 50))
 	fmt.Fprintf(w, "  analyzed %d object flows; %d periodic\n",
 		res.AnalyzedObjects, res.PeriodicObjects)
+	fmt.Fprintf(w, "  detector: %d Detect calls, %d shuffles, %d early stops\n",
+		res.Analysis.DetectCalls, res.Analysis.Shuffles, res.Analysis.EarlyStops)
 	compareRow(w, "JSON requests that are periodic", "6.3%", pct(res.PeriodicShare))
 	compareRow(w, "periodic traffic uncacheable", "56.2%", pct(res.UncacheableShare))
 	compareRow(w, "periodic traffic upload (POST)", "78%", pct(res.UploadShare))

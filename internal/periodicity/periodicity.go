@@ -93,6 +93,14 @@ type Result struct {
 	// request properties.
 	UncacheablePeriodic int64
 	UploadPeriodic      int64
+	// DetectCalls, Shuffles and EarlyStops count the detector's work:
+	// the dsp.Detect calls made, the permutations they ran, and the
+	// calls whose permutations stopped early because the flow could no
+	// longer be periodic. Every flow has its own RNG stream, so all
+	// three are deterministic.
+	DetectCalls int64
+	Shuffles    int64
+	EarlyStops  int64
 }
 
 // PeriodicShare returns periodic requests as a fraction of all requests
@@ -172,8 +180,9 @@ func (r *Result) ShareAboveMajority() float64 {
 }
 
 // Analyze runs the full §5.1 pipeline over the extracted object flows,
-// fanning objects out across CPU cores. Each object's permutations use
-// an RNG seeded from cfg.Seed and the object URL, so results are
+// fanning objects out across CPU cores. Each object has an RNG seeded
+// from cfg.Seed and the object URL, and each of its flows draws its
+// permutations from its own stream split from it, so results are
 // deterministic regardless of scheduling. totalRequests should be the
 // total request count of the dataset the flows were extracted from
 // (including requests filtered out of flows), so PeriodicShare is
@@ -191,6 +200,7 @@ func Analyze(objFlows []*flows.ObjectFlow, totalRequests int64, cfg Config) *Res
 		workers = 1
 	}
 	var next int64 = -1
+	var work detectorWork
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -205,11 +215,14 @@ func Analyze(objFlows []*flows.ObjectFlow, totalRequests int64, cfg Config) *Res
 				h := fnv.New64a()
 				h.Write([]byte(of.URL))
 				rng := stats.NewRNG(cfg.Seed ^ h.Sum64())
-				res.Objects[i] = analyzeObject(of, cfg, rng)
+				res.Objects[i] = analyzeObject(of, cfg, rng, &work)
 			}
 		}()
 	}
 	wg.Wait()
+	res.DetectCalls = work.calls.Load()
+	res.Shuffles = work.shuffles.Load()
+	res.EarlyStops = work.earlyStops.Load()
 	for i := range res.Objects {
 		o := &res.Objects[i]
 		res.PeriodicRequests += int64(o.PeriodicRequests)
@@ -220,19 +233,27 @@ func Analyze(objFlows []*flows.ObjectFlow, totalRequests int64, cfg Config) *Res
 	return res
 }
 
-func analyzeObject(of *flows.ObjectFlow, cfg Config, rng *stats.RNG) ObjectResult {
+// detectorWork sums dsp.DetectStats across Analyze's workers.
+type detectorWork struct {
+	calls, shuffles, earlyStops atomic.Int64
+}
+
+// analyzeObject gives the object flow stream 0 of rng and client i
+// stream i+1, so no flow's result depends on how many permutations
+// another flow ran.
+func analyzeObject(of *flows.ObjectFlow, cfg Config, rng *stats.RNG, work *detectorWork) ObjectResult {
 	out := ObjectResult{
 		URL:           of.URL,
 		TotalClients:  len(of.Clients),
 		TotalRequests: of.NumRequests(),
 	}
-	objPeriod, ok := detectPeriod(of.AllRequests(), cfg, rng)
+	objPeriod, ok := detectPeriod(of.AllRequests(), cfg, rng.SplitIndexed(0), work)
 	if !ok {
 		return out
 	}
 	out.ObjectPeriod = objPeriod
-	for _, cf := range of.Clients {
-		cliPeriod, ok := detectPeriod(cf.Requests, cfg, rng)
+	for i, cf := range of.Clients {
+		cliPeriod, ok := detectPeriod(cf.Requests, cfg, rng.SplitIndexed(uint64(i+1)), work)
 		if !ok || !periodsMatch(objPeriod, cliPeriod, cfg.MatchTolerance) {
 			continue
 		}
@@ -252,12 +273,17 @@ func analyzeObject(of *flows.ObjectFlow, cfg Config, rng *stats.RNG) ObjectResul
 
 // detectPeriod bins a request sequence and runs the dsp detector,
 // translating the lag back into wall-clock duration.
-func detectPeriod(reqs []flows.Request, cfg Config, rng *stats.RNG) (time.Duration, bool) {
+func detectPeriod(reqs []flows.Request, cfg Config, rng *stats.RNG, work *detectorWork) (time.Duration, bool) {
 	signal := flows.BinCounts(reqs, cfg.SampleBin, cfg.MaxBins)
 	if signal == nil {
 		return 0, false
 	}
-	det, ok, err := dsp.Detect(signal, cfg.Detector, rng)
+	det, ok, st, err := dsp.DetectWithStats(signal, cfg.Detector, rng)
+	work.calls.Add(1)
+	work.shuffles.Add(int64(st.Shuffles))
+	if st.EarlyStop {
+		work.earlyStops.Add(1)
+	}
 	if err != nil || !ok {
 		return 0, false
 	}
