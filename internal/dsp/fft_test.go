@@ -44,7 +44,9 @@ func randSignal(n int, seed uint64) []complex128 {
 }
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 128} {
+	// Powers of two, then every radix of the mixed-radix engine alone
+	// and combined.
+	for _, n := range []int{1, 2, 4, 8, 16, 64, 128, 6, 9, 10, 15, 20, 25, 27, 30, 36, 45, 60, 75, 120, 125} {
 		x := randSignal(n, uint64(n))
 		got := FFT(x)
 		want := dftNaive(x)
@@ -55,7 +57,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 }
 
 func TestBluesteinMatchesNaiveDFT(t *testing.T) {
-	for _, n := range []int{3, 5, 6, 7, 12, 17, 100, 101} {
+	for _, n := range []int{3, 5, 6, 7, 12, 17, 100, 101, 11, 13, 97, 98} {
 		x := randSignal(n, uint64(n))
 		got := FFT(x)
 		want := dftNaive(x)
@@ -66,7 +68,7 @@ func TestBluesteinMatchesNaiveDFT(t *testing.T) {
 }
 
 func TestIFFTInvertsFFT(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 16, 33, 128} {
+	for _, n := range []int{1, 2, 7, 16, 33, 128, 9, 25, 60, 98} {
 		x := randSignal(n, uint64(1000+n))
 		back := IFFT(FFT(x))
 		if e := maxErr(back, x); e > 1e-9*float64(n) {
@@ -176,7 +178,7 @@ func TestAutocorrelationConstantSignal(t *testing.T) {
 
 func TestAutocorrelationMatchesDirect(t *testing.T) {
 	r := stats.NewRNG(31)
-	for _, n := range []int{5, 17, 64, 100} {
+	for _, n := range append([]int{5, 17, 64, 100}, engineSizes...) {
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = r.NormFloat64()
@@ -192,11 +194,11 @@ func TestAutocorrelationMatchesDirect(t *testing.T) {
 }
 
 // TestPeriodogramMatchesDirect pins the FFT-based power spectrum to the
-// O(n^2) DFT evaluation, including non-power-of-two lengths that
+// O(n^2) DFT evaluation, including lengths that are not 5-smooth and
 // exercise the Bluestein path.
 func TestPeriodogramMatchesDirect(t *testing.T) {
 	r := stats.NewRNG(32)
-	for _, n := range []int{5, 17, 64, 100} {
+	for _, n := range append([]int{5, 17, 64, 100}, engineSizes...) {
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = r.NormFloat64()
