@@ -5,11 +5,6 @@ BENCHCOUNT ?= 3
 BENCHBASE ?= BENCH_1.json
 BENCHOUT2 ?= BENCH_2.json
 MAXREGRESS ?= 0.20
-# Chunk-container decode floors: parallel chunk decode must beat the
-# sequential binary reader by this factor, and compressed chunks must
-# shrink bytes-per-record to at most this fraction of binary.
-MINCHUNKSPEEDUP ?= 2.0
-MAXCHUNKRATIO ?= 0.5
 # Live-characterization tap budget: the async sketch tap may slow the
 # edge serve path by at most this fraction (gated on multi-core runners
 # only — at GOMAXPROCS=1 the tap's consumer cannot overlap the path).
@@ -60,8 +55,7 @@ race:
 # bench regenerates the persisted benchmark baseline (BENCH_1.json by
 # default; override with BENCHOUT=...). It runs every benchmark in the
 # perf-critical packages -benchmem -count $(BENCHCOUNT) and derives the
-# sequential-vs-parallel RunAll speedup plus the chunk-container decode
-# comparison (records/sec and bytes-per-record vs the binary baseline).
+# sequential-vs-parallel RunAll speedup.
 # Regenerate on the machine you care about — the file records GOMAXPROCS.
 bench:
 	$(GO) run ./cmd/benchreport -count $(BENCHCOUNT) -out $(BENCHOUT) \
@@ -69,15 +63,14 @@ bench:
 
 # bench-check is the perf regression gate: re-run the suite, write
 # $(BENCHOUT2), and fail if any benchmark's mean ns/op regressed more
-# than $(MAXREGRESS) (fraction) against $(BENCHBASE), if parallel chunk
-# decode fell below $(MINCHUNKSPEEDUP)x the binary reader, or if
-# compressed chunks exceed $(MAXCHUNKRATIO) of binary bytes-per-record.
+# than $(MAXREGRESS) (fraction) against $(BENCHBASE), or if the live
+# characterization tap slows the edge path by more than
+# $(MAXCHAROVERHEAD).
 # Compare baselines from the same machine — ns/op across machines is
 # noise, not signal.
 bench-check:
 	$(GO) run ./cmd/benchreport -count $(BENCHCOUNT) -out $(BENCHOUT2) \
 		-baseline $(BENCHBASE) -max-regress $(MAXREGRESS) \
-		-min-chunk-speedup $(MINCHUNKSPEEDUP) -max-chunk-bytes-ratio $(MAXCHUNKRATIO) \
 		-max-livechar-overhead $(MAXCHAROVERHEAD) \
 		-replay $(REPLAYREPORT)
 
@@ -125,8 +118,7 @@ char-check:
 # fuzz target per invocation). Raise FUZZTIME for a longer soak.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseTSV -fuzztime=$(FUZZTIME) ./internal/logfmt
-	$(GO) test -run=^$$ -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzChunkReader -fuzztime=$(FUZZTIME) ./internal/logfmt
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalJSONLine -fuzztime=$(FUZZTIME) ./internal/logfmt
-	$(GO) test -run=^$$ -fuzz=FuzzTolerantReader -fuzztime=$(FUZZTIME) ./internal/ingest
+	$(GO) test -run=^$$ -fuzz=FuzzPipeline -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzParseSLO -fuzztime=$(FUZZTIME) ./internal/replay

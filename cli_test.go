@@ -35,7 +35,7 @@ func TestCLIPipeline(t *testing.T) {
 		return string(out)
 	}
 
-	data := filepath.Join(t.TempDir(), "pattern.cdnb.gz")
+	data := filepath.Join(t.TempDir(), "pattern.cdnc")
 	run("jsongen", "-preset", "long", "-duration", "45m", "-target", "30000",
 		"-domains", "20", "-seed", "5", "-o", data)
 	if fi, err := os.Stat(data); err != nil || fi.Size() == 0 {
@@ -69,7 +69,7 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("jsonanomaly output malformed:\n%.400s", an)
 	}
 
-	// Transcode binary -> TSV with JSON filtering and re-analyze.
+	// Transcode chunk container -> TSV with JSON filtering and re-analyze.
 	tsv := filepath.Join(t.TempDir(), "json.tsv.gz")
 	run("jsonconvert", "-i", data, "-o", tsv, "-json-only")
 	char2 := run("jsonchar", "-i", tsv)

@@ -1,13 +1,10 @@
 package main
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestParseBenchExtraMetrics(t *testing.T) {
 	out := `goos: linux
-BenchmarkDecodeBinarySeq-8   	     50	  2000000 ns/op	 350.00 MB/s	  122.60 disk-B/rec	 3000000 records/s	 100 B/op	 5 allocs/op
+BenchmarkDecodeChunkParallel/codec=flate-8   	     50	  2000000 ns/op	 350.00 MB/s	  122.60 disk-B/rec	 3000000 records/s	 100 B/op	 5 allocs/op
 BenchmarkDecodeChunkSeq/codec=raw-8  	 100	  1000000 ns/op	  46.70 disk-B/rec	 7000000 records/s	 90 B/op	 4 allocs/op
 PASS
 `
@@ -16,7 +13,7 @@ PASS
 		t.Fatalf("parsed %d benchmarks, want 2", len(bs))
 	}
 	b := bs[0]
-	if b.Name != "BenchmarkDecodeBinarySeq" {
+	if b.Name != "BenchmarkDecodeChunkParallel/codec=flate" {
 		t.Fatalf("name = %q", b.Name)
 	}
 	if b.NsPerOp != 2000000 || b.BPerOp != 100 || b.Allocs != 5 {
@@ -33,41 +30,6 @@ PASS
 	}
 	if got := bs[1].Name; got != "BenchmarkDecodeChunkSeq/codec=raw" {
 		t.Errorf("sub-benchmark name = %q (GOMAXPROCS suffix not trimmed?)", got)
-	}
-}
-
-func xbm(name string, extra map[string]float64) Benchmark {
-	return Benchmark{Package: "./internal/ingest", Name: name, Iters: 10,
-		NsPerOp: 1, Extra: extra}
-}
-
-func TestChunkDecodeSummary(t *testing.T) {
-	bs := []Benchmark{
-		// Two -count runs of the baseline: means, not first-wins.
-		xbm("BenchmarkDecodeBinarySeq", map[string]float64{"records/s": 2.8e6, "disk-B/rec": 122.6}),
-		xbm("BenchmarkDecodeBinarySeq", map[string]float64{"records/s": 3.2e6, "disk-B/rec": 122.6}),
-		xbm("BenchmarkDecodeChunkSeq/codec=raw", map[string]float64{"records/s": 7.0e6, "disk-B/rec": 46.7}),
-		xbm("BenchmarkDecodeChunkSeq/codec=flate", map[string]float64{"records/s": 2.0e6, "disk-B/rec": 15.3}),
-		xbm("BenchmarkDecodeChunkParallel/codec=raw", map[string]float64{"records/s": 7.5e6, "disk-B/rec": 46.7}),
-	}
-	cd := chunkDecodeSummary(bs)
-	if cd == nil {
-		t.Fatal("summary nil with all decode benchmarks present")
-	}
-	if math.Abs(cd.BinarySeqRecordsPerSec-3.0e6) > 1 {
-		t.Errorf("binary mean = %v, want 3.0e6", cd.BinarySeqRecordsPerSec)
-	}
-	if math.Abs(cd.ChunkParSpeedupVsBinary-2.5) > 0.01 {
-		t.Errorf("speedup = %v, want 2.5", cd.ChunkParSpeedupVsBinary)
-	}
-	if math.Abs(cd.ChunkBytesRatio-15.3/122.6) > 1e-9 {
-		t.Errorf("bytes ratio = %v, want %v", cd.ChunkBytesRatio, 15.3/122.6)
-	}
-
-	// A -bench filter that drops the decode benchmarks must yield nil so
-	// the gates skip instead of failing on zeros.
-	if cd := chunkDecodeSummary(bs[:2]); cd != nil {
-		t.Errorf("summary = %+v, want nil without chunk benchmarks", cd)
 	}
 }
 

@@ -4,14 +4,11 @@
 //
 // It shells out to `go test -bench` over the performance-critical
 // packages — synth generation, the experiment scheduler, n-gram
-// prediction, the DSP kernels, the log codecs, and the ingest
-// pipeline — parses the standard benchmark output lines, and emits one
+// prediction, the DSP kernels, the log codecs, the ingest pipeline,
+// the edge server, and the live characterization tap — parses the standard benchmark output lines, and emits one
 // JSON document with ns/op, B/op, allocs/op, and any custom
-// b.ReportMetric units (records/s, disk-B/rec) per benchmark, plus two
-// derived headlines: the sequential-vs-parallel RunAll speedup and the
-// chunk-container decode comparison (records/sec and bytes-per-record
-// vs the binary baseline, gated by -min-chunk-speedup and
-// -max-chunk-bytes-ratio).
+// b.ReportMetric units (records/s, disk-B/rec) per benchmark, plus the
+// derived sequential-vs-parallel RunAll speedup.
 //
 // Usage:
 //
@@ -43,6 +40,7 @@ var packages = []string{
 	"./internal/dsp",
 	"./internal/logfmt",
 	"./internal/ingest",
+	"./internal/edge",
 	"./internal/livechar",
 }
 
@@ -78,13 +76,6 @@ type Report struct {
 	RunAllSequentialNs float64 `json:"runall_sequential_ns,omitempty"`
 	RunAllParallelNs   float64 `json:"runall_parallel_ns,omitempty"`
 	RunAllSpeedup      float64 `json:"runall_speedup,omitempty"`
-
-	// ChunkDecode compares the chunk-container decode path against the
-	// sequential binary baseline (means over the -count runs) — the
-	// numbers the log-container work is judged by. Records/sec uses the
-	// raw codec (decode cost without decompression); bytes-per-record
-	// uses flate (the on-disk default).
-	ChunkDecode *DecodeSummary `json:"chunk_decode,omitempty"`
 
 	// LiveChar compares the edge serve path with the live
 	// characterization tap attached against the plain path — the cost
@@ -133,17 +124,6 @@ type LiveCharSummary struct {
 	DropRate float64 `json:"drop_rate"`
 }
 
-// DecodeSummary is the derived cross-format decode comparison.
-type DecodeSummary struct {
-	BinarySeqRecordsPerSec  float64 `json:"binary_seq_records_per_sec"`
-	ChunkSeqRecordsPerSec   float64 `json:"chunk_seq_records_per_sec"`
-	ChunkParRecordsPerSec   float64 `json:"chunk_par_records_per_sec"`
-	ChunkParSpeedupVsBinary float64 `json:"chunk_par_speedup_vs_binary"`
-	BinaryBytesPerRecord    float64 `json:"binary_bytes_per_record"`
-	ChunkBytesPerRecord     float64 `json:"chunk_bytes_per_record"`
-	ChunkBytesRatio         float64 `json:"chunk_bytes_ratio"`
-}
-
 func main() {
 	var (
 		count      = flag.Int("count", 3, "benchmark repetitions (go test -count)")
@@ -153,9 +133,6 @@ func main() {
 		baseline   = flag.String("baseline", "", "compare mean ns/op against this prior benchreport JSON and exit non-zero on regressions")
 		maxRegress = flag.Float64("max-regress", 0.20, "allowed fractional ns/op regression against -baseline (0.20 = 20% slower)")
 		replayPath = flag.String("replay", "", "fold the headline numbers from this jsonreplay report (replay-*.json) into the output; skipped with a notice if missing")
-
-		minSpeedup  = flag.Float64("min-chunk-speedup", 0, "fail unless parallel chunk decode records/sec is at least this multiple of the sequential binary reader (0 disables; gate skipped when the decode benchmarks were filtered out)")
-		maxSizeRate = flag.Float64("max-chunk-bytes-ratio", 0, "fail unless compressed chunk bytes-per-record is at most this fraction of the binary format's (0 disables; gate skipped when the decode benchmarks were filtered out)")
 
 		maxCharOverhead = flag.Float64("max-livechar-overhead", 0, "fail if the live-characterization tap slows the edge serve path by more than this fraction (0 disables; gate skipped at GOMAXPROCS=1, where the tap's consumer cannot overlap the request path, and when the edge benchmarks were filtered out)")
 	)
@@ -203,7 +180,6 @@ func main() {
 		rep.RunAllSpeedup = seq / par
 	}
 
-	rep.ChunkDecode = chunkDecodeSummary(rep.Benchmarks)
 	rep.LiveChar = liveCharSummary(rep.Benchmarks)
 
 	if *replayPath != "" {
@@ -265,27 +241,6 @@ func main() {
 			len(rep.Deltas), *maxRegress*100, *baseline)
 	}
 
-	// The chunk-container gates: absolute floors on the decode summary
-	// rather than deltas, so a fresh machine with no baseline still
-	// enforces the container's reason to exist.
-	if cd := rep.ChunkDecode; cd != nil {
-		fmt.Fprintf(os.Stderr, "benchreport: chunk decode: par %.2fx binary (%.2fM vs %.2fM rec/s), %.1f B/rec = %.3fx binary\n",
-			cd.ChunkParSpeedupVsBinary, cd.ChunkParRecordsPerSec/1e6,
-			cd.BinarySeqRecordsPerSec/1e6, cd.ChunkBytesPerRecord, cd.ChunkBytesRatio)
-		if *minSpeedup > 0 && cd.ChunkParSpeedupVsBinary < *minSpeedup {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL: parallel chunk decode %.2fx binary, want >= %.2fx\n",
-				cd.ChunkParSpeedupVsBinary, *minSpeedup)
-			os.Exit(1)
-		}
-		if *maxSizeRate > 0 && cd.ChunkBytesRatio > *maxSizeRate {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL: chunk bytes-per-record %.3fx binary, want <= %.3fx\n",
-				cd.ChunkBytesRatio, *maxSizeRate)
-			os.Exit(1)
-		}
-	} else if *minSpeedup > 0 || *maxSizeRate > 0 {
-		fmt.Fprintln(os.Stderr, "benchreport: chunk decode benchmarks absent; skipping chunk gates")
-	}
-
 	// The livechar gate: the tap must not slow the edge serve path by
 	// more than -max-livechar-overhead. The comparison needs a spare
 	// core for the tap's consumer, so at GOMAXPROCS=1 the number is
@@ -322,27 +277,6 @@ func liveCharSummary(bs []Benchmark) *LiveCharSummary {
 	}
 	lc.Overhead = lc.EdgeLiveCharNs/lc.EdgeBaselineNs - 1
 	return lc
-}
-
-// chunkDecodeSummary derives the cross-format decode comparison from
-// the custom records/s and disk-B/rec metrics the Decode benchmarks
-// report; nil when they weren't in the run (e.g. filtered by -bench).
-func chunkDecodeSummary(bs []Benchmark) *DecodeSummary {
-	cd := &DecodeSummary{
-		BinarySeqRecordsPerSec: meanExtra(bs, "BenchmarkDecodeBinarySeq", "records/s"),
-		ChunkSeqRecordsPerSec:  meanExtra(bs, "BenchmarkDecodeChunkSeq/codec=raw", "records/s"),
-		ChunkParRecordsPerSec:  meanExtra(bs, "BenchmarkDecodeChunkParallel/codec=raw", "records/s"),
-		BinaryBytesPerRecord:   meanExtra(bs, "BenchmarkDecodeBinarySeq", "disk-B/rec"),
-		ChunkBytesPerRecord:    meanExtra(bs, "BenchmarkDecodeChunkSeq/codec=flate", "disk-B/rec"),
-	}
-	if cd.BinarySeqRecordsPerSec == 0 || cd.ChunkParRecordsPerSec == 0 {
-		return nil
-	}
-	cd.ChunkParSpeedupVsBinary = cd.ChunkParRecordsPerSec / cd.BinarySeqRecordsPerSec
-	if cd.BinaryBytesPerRecord > 0 {
-		cd.ChunkBytesRatio = cd.ChunkBytesPerRecord / cd.BinaryBytesPerRecord
-	}
-	return cd
 }
 
 // parseBench extracts Benchmark entries from `go test -bench` output

@@ -10,10 +10,10 @@
 // Usage:
 //
 //	jsonchar -i logs.tsv.gz
-//	jsonchar -i logs.cdnb -max-error-rate 0.1 -dead-letter bad.jsonl
+//	jsonchar -i logs.cdnc -max-error-rate 0.1 -dead-letter bad.jsonl
 //	jsonchar -synth -scale 0.002
 //	jsonchar -synth -shards 8         # shard generation across 8 goroutines
-//	jsonchar -i logs.tsv.gz -j 4      # cap text-format decode workers
+//	jsonchar -i logs.tsv.gz -j 4      # cap decode workers
 //	jsonchar -synth -trace -metrics-addr :9090
 //	jsonchar -i logs.tsv.gz -trace-out t.json   # Chrome trace of the ingest stages
 //
@@ -51,11 +51,11 @@ import (
 
 func main() {
 	var (
-		in          = flag.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz])")
+		in          = flag.String("i", "", "input log file (.tsv/.jsonl[.gz] or .cdnc)")
 		useSynth    = flag.Bool("synth", false, "characterize a freshly generated short-term dataset")
 		scale       = flag.Float64("scale", 0.002, "scale for -synth")
 		seed        = flag.Uint64("seed", 42, "seed for -synth")
-		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "decode workers for file ingest of the text formats")
+		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "decode workers for file ingest")
 		shards      = flag.Int("shards", 1, "generation shards for -synth: 1 reproduces the historical stream; N > 1 generates on N goroutines (deterministic per seed+shards)")
 		topApps     = flag.Int("top-apps", 10, "how many applications to list")
 		maxErrRate  = flag.Float64("max-error-rate", 0.05, "abort file ingest when more than this fraction of records is corrupt")

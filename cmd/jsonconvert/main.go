@@ -1,13 +1,13 @@
 // Command jsonconvert transcodes CDN log files between the supported
-// encodings (TSV, JSON Lines, binary, and the compressed chunk
-// container; the text and binary formats optionally gzipped), with
-// optional filtering. Container inputs are detected by magic bytes, so
-// a mislabeled file still decodes; the output encoding follows the -o
-// extension (.cdnc selects the chunk container with its default codec).
+// encodings (TSV, JSON Lines, and the compressed chunk container; the
+// text formats optionally gzipped), with optional filtering. Chunk
+// container inputs are detected by magic bytes, so a mislabeled file
+// still decodes; the output encoding follows the -o extension (.cdnc
+// selects the chunk container with its default codec).
 //
 // Usage:
 //
-//	jsonconvert -i logs.tsv.gz -o logs.cdnb.gz
+//	jsonconvert -i logs.tsv.gz -o logs.jsonl.gz
 //	jsonconvert -i logs.tsv.gz -o logs.cdnc   # recompress into chunks
 //	jsonconvert -i logs.cdnc -o - -json-only
 package main
@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("i", "", "input log file (.tsv/.jsonl/.cdnb[.gz] or .cdnc)")
+		in       = flag.String("i", "", "input log file (.tsv/.jsonl[.gz] or .cdnc)")
 		out      = flag.String("o", "-", "output path or - for TSV on stdout")
 		jsonOnly = flag.Bool("json-only", false, "keep only application/json records")
 		host     = flag.String("host", "", "keep only records for this domain")

@@ -9,10 +9,10 @@
 //	jsongen -preset short -scale 0.01 -shards 8 -o stream.tsv.gz
 //	jsongen -preset short -o logs.cdnc -codec gzip -chunk-records 8192
 //
-// The output format is inferred from the file extension (.tsv, .jsonl,
-// .cdnb, or the .cdnc chunk container, with optional .gz on the text
-// and binary formats); "-" writes TSV to stdout. The -codec and
-// -chunk-records flags shape the chunk container only.
+// The output format is inferred from the file extension (.tsv or .jsonl,
+// with optional .gz, or the .cdnc chunk container); "-" writes TSV to
+// stdout. The -codec and -chunk-records flags shape the chunk container
+// only.
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 		preset   = flag.String("preset", "short", `dataset preset: "short" (10 min, wide) or "long" (24 h, narrow)`)
 		scale    = flag.Float64("scale", 0.002, "scale factor relative to the paper's dataset sizes")
 		seed     = flag.Uint64("seed", 42, "generator seed; equal seeds give identical datasets")
-		out      = flag.String("o", "-", "output path (.tsv/.jsonl/.cdnb[.gz]) or - for stdout")
+		out      = flag.String("o", "-", "output path (.tsv/.jsonl[.gz] or .cdnc) or - for stdout")
 		duration = flag.Duration("duration", 0, "override capture window")
 		target   = flag.Int("target", 0, "override target record count")
 		domains  = flag.Int("domains", 0, "override domain count")

@@ -53,7 +53,7 @@ func main() {
 		faultSeed   = flag.Uint64("fault-seed", 0, "seed for fault injection and backoff jitter (0 derives it from -seed)")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "RunAll step parallelism: 1 runs the exhibits sequentially; N > 1 runs independent steps on N workers (output stays byte-identical)")
 		shards      = flag.Int("shards", 1, "synth generation shards: 1 reproduces the historical streams; N > 1 generates on N goroutines (deterministic per seed+shards, different stream)")
-		records     = flag.String("records", "", "load the §4 short-term dataset from this log file (.tsv/.jsonl/.cdnb[.gz]/.cdnc, container detected by magic) instead of synthesizing it")
+		records     = flag.String("records", "", "load the §4 short-term dataset from this log file (.tsv/.jsonl[.gz] or .cdnc, the chunk container detected by magic) instead of synthesizing it")
 		only        = flag.String("only", "", "comma-separated subset: fig1,table2,fig3,fig4,fig5,fig6,table3,prefetch,deprioritize,anomaly,regional,resilience,adversarial,fleetchaos (fleetchaos is live-HTTP and excluded from full runs)")
 		csvDir      = flag.String("csv", "", "also export each exhibit's data series as CSV into this directory (full runs only)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /readyz, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")

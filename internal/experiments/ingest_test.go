@@ -13,45 +13,30 @@ import (
 	"repro/internal/logfmt"
 )
 
-// encodeFrames writes recs in the binary format, returning the stream
-// and each frame's [start, end) offsets.
-func encodeFrames(t *testing.T, recs []logfmt.Record) ([]byte, [][2]int) {
-	t.Helper()
-	var buf bytes.Buffer
-	w := logfmt.NewBinaryWriter(&buf)
-	frames := make([][2]int, len(recs))
-	prev := 5 // binary magic
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil { // flush to observe the frame end
-			t.Fatal(err)
-		}
-		frames[i] = [2]int{prev, buf.Len()}
-		prev = buf.Len()
-	}
-	return buf.Bytes(), frames
-}
-
-// corruptAndDecode smashes every strideth frame's trailing byte and
-// decodes the stream tolerantly, returning the surviving records.
+// corruptAndDecode replaces every strideth line of recs' TSV encoding
+// with garbage and decodes the stream through the tolerant ingest
+// pipeline, returning the surviving records.
 func corruptAndDecode(t *testing.T, recs []logfmt.Record, stride int) ([]logfmt.Record, ingest.Stats) {
 	t.Helper()
-	stream, frames := encodeFrames(t, recs)
-	for i := stride - 1; i < len(frames); i += stride {
-		stream[frames[i][1]-1] = 0xEE
+	var stream []byte
+	for i := range recs {
+		if i%stride == stride-1 {
+			stream = append(stream, "corrupted\tline\n"...)
+			continue
+		}
+		stream = logfmt.AppendTSV(stream, &recs[i])
 	}
-	tr := ingest.NewTolerantReader(logfmt.NewBinaryReader(bytes.NewReader(stream)),
-		ingest.Options{MaxErrorRate: 0.05})
 	var out []logfmt.Record
-	if err := tr.ForEach(func(r *logfmt.Record) error {
-		out = append(out, *r)
-		return nil
-	}); err != nil {
+	stats, err := ingest.Run(context.Background(), bytes.NewReader(stream), logfmt.FormatTSV,
+		ingest.PipelineConfig{Options: ingest.Options{MaxErrorRate: 0.05}},
+		func(r *logfmt.Record) error {
+			out = append(out, *r)
+			return nil
+		})
+	if err != nil {
 		t.Fatalf("tolerant decode: %v", err)
 	}
-	return out, tr.Stats()
+	return out, stats
 }
 
 func within(got, want, tol float64) bool {
@@ -110,9 +95,9 @@ func TestToleranceCorruptStream(t *testing.T) {
 	// Table 2 loses exactly the quarantined ~1%; every reported shape
 	// statistic stays within a few percent of the clean run.
 	for _, cmp := range []struct {
-		name       string
-		got, want  float64
-		tol        float64
+		name      string
+		got, want float64
+		tol       float64
 	}{
 		{"short records", float64(t2Tol.Short.Records()), float64(t2Clean.Short.Records()), 0.02},
 		{"pattern records", float64(t2Tol.Pattern.Records()), float64(t2Clean.Pattern.Records()), 0.02},

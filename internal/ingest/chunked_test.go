@@ -290,30 +290,22 @@ func TestFileSourceChunkAutoDetect(t *testing.T) {
 	}
 }
 
-// TestTolerantReaderChunk drives the sequential ChunkReader through
-// TolerantReader and asserts the chunkDropper/resyncer integration:
+// TestRunChunksInline drives RunChunks at one worker — the same framer,
+// decoder, and merge run inline on the caller's goroutine — and asserts
 // record-denominated quarantine plus the shared skip metrics.
-func TestTolerantReaderChunk(t *testing.T) {
+func TestRunChunksInline(t *testing.T) {
 	recs := synthRecords(t, 400)
 	data := encodeChunked(t, recs, logfmt.ChunkConfig{Codec: logfmt.CodecFlate, ChunkRecords: 100})
-	sc := logfmt.NewChunkScanner(bytes.NewReader(data))
-	var rc logfmt.RawChunk
-	for i := 0; i < 2; i++ {
-		if err := sc.Next(&rc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	corrupted := append([]byte(nil), data...)
-	corrupted[rc.Offset+24+rc.FrameLen()/2] ^= 0x08
+	corrupted, _ := corruptChunks(t, data, 1, 4)
 
 	reg := obs.NewRegistry()
-	tr := NewTolerantReader(logfmt.NewChunkReader(bytes.NewReader(corrupted)),
-		Options{MaxErrorRate: 0.5, Metrics: NewInstrumentation(reg)})
+	cfg := PipelineConfig{Workers: 1, Options: Options{MaxErrorRate: 0.5, Metrics: NewInstrumentation(reg)}}
 	var n int
-	if err := tr.ForEach(func(r *logfmt.Record) error { n++; return nil }); err != nil {
+	st, err := RunChunks(context.Background(), bytes.NewReader(corrupted), cfg,
+		func(r *logfmt.Record) error { n++; return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := tr.Stats()
 	if n != 300 || st.Records != 300 {
 		t.Fatalf("delivered %d (stats %+v), want 300", n, st)
 	}

@@ -1,7 +1,8 @@
-// Package ingest is the hardened log-to-analysis path: tolerant
-// decoding of corrupt log streams with dead-letter quarantine, a
-// bounded, cancellable decode pipeline with backpressure, and accurate
-// accounting of what was kept, skipped, and resynchronized.
+// Package ingest is the hardened log-to-analysis path: one bounded,
+// cancellable, ordered decode pipeline for the text formats and the
+// chunk container, tolerant of corrupt spans with dead-letter
+// quarantine, and accurate accounting of what was kept, skipped, and
+// resynchronized.
 //
 // The paper's analyses are functions of a 35M-record edge-log stream;
 // at that scale real CDN logs arrive truncated, interleaved, and
@@ -13,24 +14,74 @@
 package ingest
 
 import (
+	"errors"
+	"fmt"
+
+	"repro/internal/logfmt"
 	"repro/internal/obs"
 )
 
-// Stats is the accounting of one tolerant read or pipeline run.
+// ErrBudgetExceeded marks a stream whose corrupt-record fraction blew
+// the configured budget: the data is too damaged to trust, so the read
+// fails fast instead of silently analyzing a remnant.
+var ErrBudgetExceeded = errors.New("ingest: corrupt-record budget exceeded")
+
+// Options configures tolerant decoding.
+type Options struct {
+	// MaxErrorRate is the quarantine budget: once more than this
+	// fraction of decode attempts has been quarantined (after
+	// MinRecords attempts), reading fails with ErrBudgetExceeded.
+	// Default 0.05.
+	MaxErrorRate float64
+	// MinRecords is the grace period before the budget is enforced, so
+	// one bad record at the head of a stream cannot trip a percentage
+	// budget. Default 64.
+	MinRecords int64
+	// DeadLetter receives quarantined spans; nil counts only.
+	DeadLetter *DeadLetter
+	// Metrics, when non-nil, receives per-record instrumentation.
+	Metrics *Instrumentation
+}
+
+func (o *Options) sanitize() {
+	if o.MaxErrorRate <= 0 {
+		o.MaxErrorRate = 0.05
+	}
+	if o.MinRecords <= 0 {
+		o.MinRecords = 64
+	}
+}
+
+// checkBudget fails the stream once the quarantine fraction exceeds the
+// budget, with the position of the error that tripped it.
+func checkBudget(s Stats, opts Options, de *logfmt.DecodeError) error {
+	total := s.Records + s.Quarantined
+	if total < opts.MinRecords {
+		return nil
+	}
+	if rate := s.ErrorRate(); rate > opts.MaxErrorRate {
+		return fmt.Errorf("%w: %d of %d records quarantined (%.2f%% > %.2f%% budget), tripped at byte %d (record %d): %v",
+			ErrBudgetExceeded, s.Quarantined, total,
+			rate*100, opts.MaxErrorRate*100, de.Offset, de.Record, de.Err)
+	}
+	return nil
+}
+
+// Stats is the accounting of one pipeline run.
 type Stats struct {
 	// Records is the number of records decoded successfully.
 	Records int64
 	// Quarantined is the number of records lost to quarantined spans.
-	// For the text and binary formats one span is one record; for the
-	// chunk container a quarantined chunk loses its whole claimed
-	// record count, so the error budget stays record-denominated
-	// across formats.
+	// For the text formats one span is one line; for the chunk
+	// container a quarantined chunk loses its whole claimed record
+	// count, so the error budget stays record-denominated across
+	// formats.
 	Quarantined int64
-	// FramesDropped is the number of bad spans (lines, binary frames,
-	// or chunks) sent to the dead letter.
+	// FramesDropped is the number of bad spans (lines or chunks) sent
+	// to the dead letter.
 	FramesDropped int64
-	// Resyncs is the number of stream resynchronization scans (binary
-	// frame or chunk granularity).
+	// Resyncs is the number of chunk-boundary resynchronizations, one
+	// per quarantined chunk (0 bytes skipped when its framing survived).
 	Resyncs int64
 	// BytesSkipped is the number of bytes discarded while resyncing.
 	BytesSkipped int64
@@ -46,10 +97,9 @@ func (s Stats) ErrorRate() float64 {
 	return float64(s.Quarantined) / float64(total)
 }
 
-// SkipMetrics is the structured resync/skip accounting shared by every
-// format that can lose stream position: the binary frame resync and the
-// chunk-container resync both report through one metric family,
-// labeled by format, instead of ad-hoc per-path counts.
+// SkipMetrics is the structured resync/skip accounting of a format that
+// can lose stream position, one metric family labeled by format. The
+// chunk container is the one such format today.
 type SkipMetrics struct {
 	// Resyncs counts resynchronization scans
 	// (ingest_resyncs_total{format=...}).
@@ -57,8 +107,8 @@ type SkipMetrics struct {
 	// SkippedBytes counts bytes discarded while resyncing
 	// (ingest_skipped_bytes_total{format=...}).
 	SkippedBytes *obs.Counter
-	// DroppedFrames counts bad spans — binary frames or chunks —
-	// quarantined (ingest_dropped_frames_total{format=...}).
+	// DroppedFrames counts bad chunks quarantined
+	// (ingest_dropped_frames_total{format=...}).
 	DroppedFrames *obs.Counter
 	// DroppedRecords counts records lost inside those spans
 	// (ingest_dropped_records_total{format=...}).
@@ -88,32 +138,15 @@ type Instrumentation struct {
 	// Quarantined counts records lost to quarantined spans
 	// (ingest_quarantined_total).
 	Quarantined *obs.Counter
-	// QueueDepth is the pipeline's bounded-queue occupancy in batches
-	// (ingest_queue_depth).
+	// QueueDepth is the pipeline's bounded-queue occupancy in decode
+	// units (ingest_queue_depth).
 	QueueDepth *obs.Gauge
-	// DecodeSeconds is the per-record decode latency distribution
-	// (ingest_decode_seconds).
+	// DecodeSeconds is the decode latency of one decode unit — a line
+	// batch or a chunk — per worker (ingest_decode_seconds).
 	DecodeSeconds *obs.Histogram
-
-	// BinarySkips and ChunkSkips are the per-format views of the shared
-	// skip metric family.
-	BinarySkips *SkipMetrics
-	ChunkSkips  *SkipMetrics
-}
-
-// Skips returns the skip metrics for a DecodeError format name
-// ("binary" or "chunk"; other formats have no resync path and get nil).
-func (i *Instrumentation) Skips(format string) *SkipMetrics {
-	if i == nil {
-		return nil
-	}
-	switch format {
-	case "binary":
-		return i.BinarySkips
-	case "chunk":
-		return i.ChunkSkips
-	}
-	return nil
+	// ChunkSkips is the chunk container's view of the skip metric
+	// family.
+	ChunkSkips *SkipMetrics
 }
 
 // newSkipMetrics resolves the skip family for one format label.
@@ -138,16 +171,15 @@ func NewInstrumentation(reg *obs.Registry) *Instrumentation {
 	reg.Help("ingest_quarantined_total", "Records lost to spans quarantined to the dead letter.")
 	reg.Help("ingest_resyncs_total", "Stream resynchronization scans, by format.")
 	reg.Help("ingest_skipped_bytes_total", "Bytes discarded while resynchronizing, by format.")
-	reg.Help("ingest_dropped_frames_total", "Bad frames/chunks quarantined, by format.")
-	reg.Help("ingest_dropped_records_total", "Records lost inside quarantined frames/chunks, by format.")
-	reg.Help("ingest_queue_depth", "Bounded ingest queue occupancy, in batches.")
-	reg.Help("ingest_decode_seconds", "Per-record decode latency.")
+	reg.Help("ingest_dropped_frames_total", "Bad chunks quarantined, by format.")
+	reg.Help("ingest_dropped_records_total", "Records lost inside quarantined chunks, by format.")
+	reg.Help("ingest_queue_depth", "Bounded ingest queue occupancy, in decode units.")
+	reg.Help("ingest_decode_seconds", "Decode latency of one decode unit (a line batch or a chunk).")
 	return &Instrumentation{
 		Records:       reg.Counter("ingest_records_total"),
 		Quarantined:   reg.Counter("ingest_quarantined_total"),
 		QueueDepth:    reg.Gauge("ingest_queue_depth"),
 		DecodeSeconds: reg.Histogram("ingest_decode_seconds", obs.ExpBuckets(1e-7, 4, 12)),
-		BinarySkips:   newSkipMetrics(reg, "binary"),
 		ChunkSkips:    newSkipMetrics(reg, "chunk"),
 	}
 }

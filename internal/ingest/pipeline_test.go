@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestPipelineGzipInput(t *testing.T) {
 	}
 }
 
-func TestFileSourceTextAndBinary(t *testing.T) {
+func TestFileSourceTextAndChunk(t *testing.T) {
 	recs := synthRecords(t, 300)
 	dir := t.TempDir()
 
@@ -138,10 +139,10 @@ func TestFileSourceTextAndBinary(t *testing.T) {
 	if err := os.WriteFile(tsvPath, encodeTSV(recs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	binPath := filepath.Join(dir, "logs.cdnb")
-	stream, frames := encodeBinaryFrames(t, recs)
-	stream[frames[7][1]-1] = 0xEE // one corrupt record
-	if err := os.WriteFile(binPath, stream, 0o644); err != nil {
+	chunkPath := filepath.Join(dir, "logs.cdnc")
+	data := encodeChunked(t, recs, logfmt.ChunkConfig{ChunkRecords: 1})
+	stream, _ := corruptChunks(t, data, 7, len(recs)) // one corrupt record
+	if err := os.WriteFile(chunkPath, stream, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -154,28 +155,113 @@ func TestFileSourceTextAndBinary(t *testing.T) {
 		t.Errorf("tsv: delivered %d (stats %d), want %d", n, src.LastStats.Records, len(recs))
 	}
 
-	src = &FileSource{Path: binPath}
+	src = &FileSource{Path: chunkPath}
 	n = 0
 	if err := src.Each(func(*logfmt.Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(len(recs)-1) || src.LastStats.Quarantined != 1 {
-		t.Errorf("binary: delivered %d, quarantined %d; want %d and 1",
+		t.Errorf("chunk: delivered %d, quarantined %d; want %d and 1",
 			n, src.LastStats.Quarantined, len(recs)-1)
 	}
 
-	// Cancellation cuts a binary read short with the context's error.
-	ctx, cancel := context.WithCancel(context.Background())
-	src = &FileSource{Path: binPath, Ctx: ctx}
-	n = 0
-	err := src.Each(func(*logfmt.Record) error {
-		n++
-		if n == 50 {
-			cancel()
+	// Cancellation cuts a read short with the context's error, at
+	// either worker count.
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src = &FileSource{Path: chunkPath, Ctx: ctx, Config: PipelineConfig{Workers: workers}}
+		n = 0
+		err := src.Each(func(*logfmt.Record) error {
+			n++
+			if n == 50 {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || n >= int64(len(recs)) {
+			t.Errorf("workers=%d: cancelled read: n=%d err=%v", workers, n, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) || n >= int64(len(recs)) {
-		t.Errorf("cancelled binary read: n=%d err=%v", n, err)
+	}
+}
+
+// TestFileSourceWorkerCountInvariant is the one-decode-path contract:
+// for clean and corrupted TSV, JSON Lines, and chunk-container files,
+// FileSource delivers identical records and identical Stats at one
+// worker and at four.
+func TestFileSourceWorkerCountInvariant(t *testing.T) {
+	recs := synthRecords(t, 1200)
+	tsv := encodeTSV(recs)
+	var jsonl []byte
+	for i := range recs {
+		line, err := logfmt.MarshalJSONLine(&recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonl = append(append(jsonl, line...), '\n')
+	}
+	chunks := encodeChunked(t, recs, logfmt.ChunkConfig{ChunkRecords: 50})
+	badTSV, _ := corruptLines(tsv, 3, 61, "x\ty")
+	badJSONL, _ := corruptLines(jsonl, 5, 83, "{bad")
+	badChunks, _ := corruptChunks(t, chunks, 2, 9)
+	garbled := append(append(append([]byte(nil), chunks[:len(chunks)/3]...),
+		bytes.Repeat([]byte{0xF5}, 40)...), chunks[len(chunks)/3:]...)
+
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"clean.tsv": tsv, "clean.jsonl": jsonl, "clean.cdnc": chunks,
+		"bad.tsv": []byte(badTSV), "bad.jsonl": []byte(badJSONL),
+		"bad.cdnc": badChunks, "garbled.cdnc": garbled,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want []logfmt.Record
+		var wantStats Stats
+		for _, workers := range []int{1, 4} {
+			src := &FileSource{Path: path, Config: PipelineConfig{Workers: workers, BatchSize: 64,
+				Options: Options{MaxErrorRate: 0.5}}}
+			var got []logfmt.Record
+			if err := src.Each(func(r *logfmt.Record) error { got = append(got, *r); return nil }); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if workers == 1 {
+				want, wantStats = got, src.LastStats
+				if strings.HasPrefix(name, "clean") && (len(got) != len(recs) || wantStats.Quarantined != 0) {
+					t.Errorf("%s: %d records, stats %+v; want all %d clean", name, len(got), wantStats, len(recs))
+				}
+				if !strings.HasPrefix(name, "clean") && wantStats.Quarantined == 0 {
+					t.Errorf("%s: nothing quarantined", name)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) || src.LastStats != wantStats {
+				t.Errorf("%s: workers=4 delivered %d records with %+v; workers=1 delivered %d with %+v",
+					name, len(got), src.LastStats, len(want), wantStats)
+			}
+		}
+	}
+}
+
+// TestFileSourceRejectsRetiredFormat checks a .cdnb binary stream,
+// plain or gzipped, fails up front with a pointer to its replacement.
+func TestFileSourceRejectsRetiredFormat(t *testing.T) {
+	stream := append([]byte("CDNJ1"), 0x10, 0x00)
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(stream)
+	zw.Close()
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"old.cdnb": stream, "old.cdnb.gz": gz.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src := &FileSource{Path: path}
+		err := src.Each(func(*logfmt.Record) error { return nil })
+		if !errors.Is(err, logfmt.ErrRetiredFormat) || !strings.Contains(err.Error(), "jsongen -o FILE.cdnc") {
+			t.Errorf("%s: err = %v, want ErrRetiredFormat naming jsongen -o FILE.cdnc", name, err)
+		}
 	}
 }

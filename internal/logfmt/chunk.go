@@ -13,8 +13,7 @@ import (
 	"time"
 )
 
-// The chunk container is the large-scale on-disk format: instead of one
-// length-delimited record after another (the binary stream), records
+// The chunk container is the large-scale on-disk format: records
 // are grouped into self-contained chunks that are individually
 // compressed and checksummed. Each chunk resets the timestamp delta
 // chain and carries its own record count, uncompressed size, and
@@ -47,12 +46,11 @@ import (
 // repeat a small set of URLs and user agents many times, so this both
 // shrinks the payload and lets the decoder intern each distinct string
 // once per chunk instead of hashing per record. Methods and MIME types
-// use the binary stream's fixed dictionary byte (0 = literal string
-// follows inline). The delta-timestamp base resets to zero per chunk,
+// use a fixed dictionary byte (methodTable, mimeTable; 0 = literal
+// string follows inline). The delta-timestamp base resets to zero per chunk,
 // so chunks decode independently.
 
-// chunkFileMagic identifies a chunk container (format version 1). It is
-// distinct from binaryMagic ("CDNJ1"), so readers sniff the two apart.
+// chunkFileMagic identifies a chunk container (format version 1).
 var chunkFileMagic = [5]byte{'C', 'D', 'N', 'C', '1'}
 
 // chunkMarker precedes every chunk header. 0xF5 is not valid UTF-8, so
@@ -718,16 +716,15 @@ func (d *ChunkDecoder) decompress(rc *RawChunk) ([]byte, error) {
 
 // ChunkReader streams records sequentially from a chunk container,
 // verifying each chunk's checksums. It implements RecordReader, so it
-// drops in anywhere the binary or text readers do, and Resync, so
-// ingest.TolerantReader can skip corrupt regions at chunk granularity.
-// Not safe for concurrent use.
+// drops in anywhere the text reader does, and Resync, so a caller can
+// skip corrupt regions at chunk granularity. Not safe for concurrent
+// use.
 type ChunkReader struct {
-	sc      *ChunkScanner
-	dec     *ChunkDecoder
-	rc      RawChunk
-	batch   []Record
-	pos     int
-	lastBad int64
+	sc    *ChunkScanner
+	dec   *ChunkDecoder
+	rc    RawChunk
+	batch []Record
+	pos   int
 }
 
 // NewChunkReader returns a reader decoding the chunk container from r.
@@ -753,9 +750,6 @@ func (rd *ChunkReader) Read(r *Record) error {
 // fill scans and decodes the next chunk into the reused batch.
 func (rd *ChunkReader) fill() error {
 	if err := rd.sc.Next(&rd.rc); err != nil {
-		if err != io.EOF {
-			rd.lastBad = 0 // framing lost; records in the span unknown
-		}
 		return err
 	}
 	if rd.dec == nil {
@@ -768,7 +762,6 @@ func (rd *ChunkReader) fill() error {
 		// the next chunk boundary: the whole chunk quarantines and a
 		// Resync from here is a no-op.
 		rd.batch = rd.batch[:0]
-		rd.lastBad = int64(rd.rc.Records)
 		return &DecodeError{Format: "chunk", Offset: rd.rc.Offset, Record: rd.rc.Index,
 			Span: rd.rc.FrameLen(), Err: err}
 	}
@@ -781,11 +774,6 @@ func (rd *ChunkReader) fill() error {
 // intact (a checksum failure inside it), the scanner is already at the
 // next boundary and Resync returns 0.
 func (rd *ChunkReader) Resync(maxScan int64) (int64, error) { return rd.sc.Resync(maxScan) }
-
-// LastBadRecords returns the header-claimed record count of the most
-// recent corrupt chunk (0 when the frame header itself was unreadable),
-// which is how many records a chunk-granularity quarantine dropped.
-func (rd *ChunkReader) LastBadRecords() int64 { return rd.lastBad }
 
 // Offset returns the number of stream bytes consumed so far.
 func (rd *ChunkReader) Offset() int64 { return rd.sc.Offset() }
@@ -817,12 +805,129 @@ func IsChunkMagic(b []byte) bool {
 	return len(b) >= len(chunkFileMagic) && [5]byte(b[:5]) == chunkFileMagic
 }
 
-// IsBinaryMagic reports whether b begins with the binary stream magic.
-func IsBinaryMagic(b []byte) bool {
-	return len(b) >= len(binaryMagic) && [5]byte(b[:5]) == binaryMagic
-}
-
 // IsChunkPath reports whether path names a chunk-container (.cdnc) log.
 func IsChunkPath(path string) bool {
 	return strings.HasSuffix(path, ".cdnc")
+}
+
+// Dictionary tables; index 0 is reserved for "literal string follows".
+var (
+	methodTable = []string{"", "GET", "POST", "HEAD", "PUT", "DELETE", "OPTIONS", "PATCH"}
+	mimeTable   = []string{"", "application/json", "text/html", "image/jpeg",
+		"application/javascript", "text/css", "image/png", "application/octet-stream"}
+)
+
+func tableIndex(table []string, s string) byte {
+	for i := 1; i < len(table); i++ {
+		if table[i] == s {
+			return byte(i)
+		}
+	}
+	return 0
+}
+
+func appendDictString(buf []byte, table []string, s string) []byte {
+	if i := tableIndex(table, s); i != 0 {
+		return append(buf, i)
+	}
+	buf = append(buf, 0)
+	return appendString(buf, s)
+}
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// decoder is a cursor over one encoded record.
+type decoder struct {
+	buf []byte
+	err error
+}
+
+var errShortRecord = fmt.Errorf("short record")
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.err = errShortRecord
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	// One- and two-byte fast paths: nearly every field (dictionary
+	// indices, client IDs, status codes, response sizes) fits in 14
+	// bits, and this is the chunk container's per-record hot loop.
+	if len(d.buf) >= 2 {
+		b0 := d.buf[0]
+		if b0 < 0x80 {
+			d.buf = d.buf[1:]
+			return uint64(b0)
+		}
+		if b1 := d.buf[1]; b1 < 0x80 {
+			d.buf = d.buf[2:]
+			return uint64(b0&0x7f) | uint64(b1)<<7
+		}
+	}
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.err = errShortRecord
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *decoder) byte() byte {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.buf) < 1 {
+		d.err = errShortRecord
+		return 0
+	}
+	b := d.buf[0]
+	d.buf = d.buf[1:]
+	return b
+}
+
+// strIntern is str without the throwaway allocation: the raw bytes go
+// straight through the interner, so repeated values cost one map
+// lookup and zero allocations.
+func (d *decoder) strIntern(in *Interner) string {
+	n := d.uvarint()
+	if d.err != nil {
+		return ""
+	}
+	if uint64(len(d.buf)) < n {
+		d.err = errShortRecord
+		return ""
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return in.InternBytes(b)
+}
+
+func (d *decoder) dictStringIntern(table []string, in *Interner) string {
+	i := d.byte()
+	if d.err != nil {
+		return ""
+	}
+	if i == 0 {
+		return d.strIntern(in)
+	}
+	if int(i) >= len(table) {
+		d.err = fmt.Errorf("dictionary index %d out of range", i)
+		return ""
+	}
+	return table[i]
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -90,10 +91,18 @@ func unescape(s string) string {
 
 // ParseTSV parses one TSV line (without trailing newline) into r.
 func ParseTSV(line string, r *Record) error {
-	fields := strings.SplitN(line, "\t", tsvFields)
-	if len(fields) != tsvFields {
-		return fmt.Errorf("logfmt: TSV line has %d fields, want %d", len(fields), tsvFields)
+	// Split into a stack array rather than strings.SplitN's heap slice:
+	// this is the text decode path's per-line hot loop.
+	var fields [tsvFields]string
+	rest := line
+	for i := 0; i < tsvFields-1; i++ {
+		f, after, ok := strings.Cut(rest, "\t")
+		if !ok {
+			return fmt.Errorf("logfmt: TSV line has %d fields, want %d", i+1, tsvFields)
+		}
+		fields[i], rest = f, after
 	}
+	fields[tsvFields-1] = rest
 	t, err := parseTime(fields[0])
 	if err != nil {
 		return fmt.Errorf("logfmt: bad time %q: %w", fields[0], err)
@@ -292,15 +301,32 @@ func NewReader(r io.Reader, format Format) (*Reader, error) {
 		}
 		br = bufio.NewReaderSize(gz, 1<<16)
 	}
+	if magic, _ := br.Peek(len(retiredMagic)); IsRetiredMagic(magic) {
+		return nil, ErrRetiredFormat
+	}
 	return &Reader{br: br, format: format, intern: NewInterner(0)}, nil
+}
+
+// retiredMagic opened the retired .cdnb binary stream, which the .cdnc
+// chunk container replaced.
+var retiredMagic = [5]byte{'C', 'D', 'N', 'J', '1'}
+
+// ErrRetiredFormat rejects input in, or output to, the retired .cdnb
+// binary stream.
+var ErrRetiredFormat = errors.New("logfmt: the .cdnb binary stream is retired; regenerate the log as a chunk container with jsongen -o FILE.cdnc")
+
+// IsRetiredMagic reports whether b begins with the retired .cdnb
+// stream's magic.
+func IsRetiredMagic(b []byte) bool {
+	return len(b) >= len(retiredMagic) && [5]byte(b[:5]) == retiredMagic
 }
 
 // Read decodes the next record into r. It returns io.EOF at end of
 // stream. Blank lines are skipped. Malformed lines are reported as a
 // *DecodeError carrying the byte offset and record index of the bad
 // span; the line is already consumed, so the next Read resumes at the
-// following line — callers that tolerate corruption (ingest.TolerantReader)
-// quarantine the span and keep reading.
+// following line — callers that tolerate corruption quarantine the span
+// and keep reading.
 func (rd *Reader) Read(r *Record) error {
 	for {
 		start := rd.offset
@@ -369,7 +395,7 @@ func (rd *Reader) ForEach(fn func(*Record) error) error {
 	}
 }
 
-// RecordReader is implemented by every log decoder (text and binary).
+// RecordReader is implemented by every log decoder (text and chunk).
 type RecordReader interface {
 	// Read decodes the next record, returning io.EOF at end of stream.
 	Read(*Record) error
@@ -387,24 +413,19 @@ type RecordWriter interface {
 	Close() error
 }
 
-// OpenFile opens path and returns a reader for it. The container
-// formats are detected by magic bytes — "CDNC1" → chunk container,
-// "CDNJ1" → binary stream — regardless of extension; everything else
-// falls back to the extension: .jsonl → JSON Lines, .cdnb → binary,
-// anything else → TSV; a .gz suffix is stripped first (decompression is
-// automatic for the text formats and the plain binary stream).
+// OpenFile opens path and returns a reader for it. The chunk container
+// is detected by its "CDNC1" magic regardless of extension; everything
+// else falls back to the extension: .jsonl → JSON Lines, anything else
+// → TSV; a .gz suffix is stripped first (decompression is automatic).
+// Input in the retired .cdnb binary stream fails with ErrRetiredFormat.
 func OpenFile(path string) (RecordReader, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	magic, _ := br.Peek(5)
-	switch {
-	case IsChunkMagic(magic):
+	if magic, _ := br.Peek(5); IsChunkMagic(magic) {
 		return NewChunkReader(br), f, nil
-	case IsBinaryMagic(magic) || IsBinaryPath(path):
-		return NewBinaryReader(br), f, nil
 	}
 	rd, err := NewReader(br, FormatForPath(path))
 	if err != nil {
@@ -418,9 +439,13 @@ func OpenFile(path string) (RecordReader, io.Closer, error) {
 // (see OpenFile), gzip-compressing text formats with a .gz suffix. A
 // .cdnc extension selects the chunk container with its default
 // configuration (flate codec); use NewChunkWriter directly for other
-// codecs or chunk sizes. Closing the returned writer flushes; the
+// codecs or chunk sizes. A .cdnb[.gz] path fails with ErrRetiredFormat
+// before anything is created. Closing the returned writer flushes; the
 // caller must also close the returned io.Closer (the file).
 func CreateFile(path string) (RecordWriter, io.Closer, error) {
+	if strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".cdnb") {
+		return nil, nil, ErrRetiredFormat
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
@@ -428,22 +453,11 @@ func CreateFile(path string) (RecordWriter, io.Closer, error) {
 	if IsChunkPath(path) {
 		return NewChunkWriter(f, ChunkConfig{}), f, nil
 	}
-	if IsBinaryPath(path) {
-		if strings.HasSuffix(path, ".gz") {
-			return NewGzipBinaryWriter(f), f, nil
-		}
-		return NewBinaryWriter(f), f, nil
-	}
 	format := FormatForPath(path)
 	if strings.HasSuffix(path, ".gz") {
 		return NewGzipWriter(f, format), f, nil
 	}
 	return NewWriter(f, format), f, nil
-}
-
-// IsBinaryPath reports whether path names a binary-format (.cdnb) log.
-func IsBinaryPath(path string) bool {
-	return strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".cdnb")
 }
 
 // FormatForPath infers the text encoding format from a file name.

@@ -6,16 +6,16 @@ import (
 )
 
 // DecodeError reports a malformed record with its position in the
-// stream, so callers can quarantine the exact bad span and resume. Both
-// the text Reader and the BinaryReader wrap every per-record decode
-// failure in a *DecodeError; I/O failures of the underlying reader are
-// returned unwrapped.
+// stream, so callers can quarantine the exact bad span and resume. The
+// text Reader and the chunk container's scanner and reader wrap every
+// decode failure in a *DecodeError; I/O failures of the underlying
+// reader are returned unwrapped.
 //
 // Offsets are measured in bytes of the decoded stream: for gzipped
 // input they index the uncompressed bytes, which is what a dead-letter
 // scan of the re-inflated stream needs.
 type DecodeError struct {
-	// Format names the wire encoding ("tsv", "jsonl", "binary").
+	// Format names the wire encoding ("tsv", "jsonl", "chunk").
 	Format string
 	// Offset is the byte offset of the start of the bad span.
 	Offset int64
@@ -23,8 +23,7 @@ type DecodeError struct {
 	// (counting every decode attempt, good or bad).
 	Record int64
 	// Span is the length in bytes of the bad span, when known (the
-	// consumed line or binary frame); 0 when the failure left the span
-	// length undetermined (e.g. a corrupt binary length prefix).
+	// consumed line or chunk frame).
 	Span int64
 	// Err is the underlying parse error.
 	Err error

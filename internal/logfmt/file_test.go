@@ -1,7 +1,12 @@
 package logfmt
 
 import (
+	"bytes"
+	"compress/gzip"
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -11,7 +16,7 @@ func TestCreateOpenFileRoundTrips(t *testing.T) {
 	base := time.Date(2019, 5, 1, 0, 0, 0, 0, time.UTC)
 	for _, name := range []string{
 		"logs.tsv", "logs.tsv.gz", "logs.jsonl", "logs.jsonl.gz",
-		"logs.cdnb", "logs.cdnb.gz", "logs.log",
+		"logs.cdnc", "logs.log",
 	} {
 		path := filepath.Join(dir, name)
 		w, closer, err := CreateFile(path)
@@ -57,6 +62,40 @@ func TestCreateOpenFileRoundTrips(t *testing.T) {
 		}
 		rcloser.Close()
 	}
+
+	// The retired .cdnb binary stream is refused on both sides:
+	// CreateFile will not write one (not even as TSV under that name),
+	// and OpenFile rejects its "CDNJ1" magic, plain or gzipped, whatever
+	// the extension.
+	for _, name := range []string{"logs.cdnb", "logs.cdnb.gz"} {
+		path := filepath.Join(dir, name)
+		if _, _, err := CreateFile(path); !errors.Is(err, ErrRetiredFormat) {
+			t.Errorf("CreateFile(%s) err = %v, want ErrRetiredFormat", name, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("CreateFile(%s) left a file behind", name)
+		}
+	}
+	stream := append([]byte("CDNJ1"), 0x10, 0x00)
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(stream)
+	zw.Close()
+	for name, data := range map[string][]byte{
+		"old.cdnb": stream, "old.tsv": stream, "old.cdnb.gz": gz.Bytes(),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenFile(path)
+		if !errors.Is(err, ErrRetiredFormat) {
+			t.Fatalf("OpenFile(%s) err = %v, want ErrRetiredFormat", name, err)
+		}
+		if !strings.Contains(err.Error(), "jsongen -o FILE.cdnc") {
+			t.Errorf("OpenFile(%s) error %q does not say how to regenerate", name, err)
+		}
+	}
 }
 
 func TestOpenFileMissing(t *testing.T) {
@@ -68,20 +107,5 @@ func TestOpenFileMissing(t *testing.T) {
 func TestCreateFileBadDir(t *testing.T) {
 	if _, _, err := CreateFile("/nonexistent-dir/x.tsv"); err == nil {
 		t.Error("bad directory accepted")
-	}
-}
-
-func TestIsBinaryPath(t *testing.T) {
-	cases := map[string]bool{
-		"a.cdnb":    true,
-		"a.cdnb.gz": true,
-		"a.tsv":     false,
-		"a.tsv.gz":  false,
-		"cdnb.tsv":  false,
-	}
-	for path, want := range cases {
-		if got := IsBinaryPath(path); got != want {
-			t.Errorf("IsBinaryPath(%q) = %v", path, got)
-		}
 	}
 }
